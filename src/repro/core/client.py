@@ -118,9 +118,7 @@ class BatchAttempt:
             op=OpCode.BATCH,
             request_id=core.allocate_request_id(),
             epoch=core.membership.epoch,
-            payload=encode_batch_requests(
-                self.requests, core.config.wire_codec
-            ),
+            payload=encode_batch_requests(self.requests),
             deadline_us=deadline_us,
         )
 
@@ -413,8 +411,9 @@ class ZHTClientCore:
         if max_bytes is None and max_entries is None:
             return list(groups.values()), unroutable
         # Chunk each owner group under the transport's size/count limits.
-        overhead = batch_request_overhead(1 << 32, self.membership.epoch)
-        budget = None if max_bytes is None else max(1, max_bytes - overhead)
+        budget = (
+            None if max_bytes is None else max(1, max_bytes - batch_request_overhead())
+        )
         attempts: list[BatchAttempt] = []
         for group in groups.values():
             chunk = BatchAttempt(
@@ -422,9 +421,9 @@ class ZHTClientCore:
             )
             size = 0
             for entry, request in zip(group.entries, group.requests):
-                # Measured with the codec the payload will actually use,
-                # so datagram chunking stays exact for both codecs.
-                wire = len(frame(request.encode_wire(self.config.wire_codec)))
+                # The payload is these frames back to back, so the
+                # encoded BATCH is exactly the envelope plus ``size``.
+                wire = len(frame(request.encode()))
                 full_count = max_entries and len(chunk.entries) >= max_entries
                 full_bytes = (
                     budget is not None and chunk.entries and size + wire > budget

@@ -139,22 +139,12 @@ class ZHTConfig:
     # --- networking -------------------------------------------------------
     #: "tcp", "udp", or "local" (in-process).
     transport: str = "tcp"
-    #: LRU connection-cache capacity for TCP (0 = no connection caching,
-    #: i.e. the paper's "TCP without connection caching" mode).
+    #: LRU connection-cache capacity for TCP.  0 is the paper's "TCP
+    #: without connection caching" mode: every operation connects anew.
+    #: Client handles only tell 0 from non-0 — any positive value gives
+    #: the multiplexed client, which keeps one connection per server —
+    #: while servers size their peer clients' caches independently.
     connection_cache_size: int = 128
-    #: Use the multiplexed TCP client (many in-flight requests per
-    #: connection, matched by request id).  ``False`` falls back to the
-    #: exclusive stop-and-wait client for ablation benchmarks; the
-    #: fallback is also used when ``connection_cache_size`` is 0, since
-    #: multiplexing only makes sense over cached connections.
-    tcp_multiplex: bool = True
-    #: Wire codec for TCP traffic: ``"fixed"`` (struct-packed fixed
-    #: header, parsed zero-copy out of the receive buffer) or
-    #: ``"varint"`` (the original protobuf-wire-format codec).  Decoders
-    #: auto-detect per message, so a mixed cluster interoperates; set
-    #: ``"varint"`` while rolling out against peers that predate the
-    #: fixed codec.
-    wire_codec: str = "fixed"
 
     # --- instances ---------------------------------------------------------
     #: ZHT instances per physical node (paper sweeps 1..8; 1 per core is
@@ -176,18 +166,6 @@ class ZHTConfig:
     #: executor submit).  ``False`` restores the selector→pool→selector
     #: hop for every request, kept for the server-architecture ablation.
     inline_fast_path: bool = True
-
-    # --- consistency mutation modes (verification self-test ONLY) ----------
-    #: TEST-ONLY: the owner acknowledges mutations *without* updating the
-    #: strongly-consistent secondary (no sync send at all).  Breaks the
-    #: paper's primary/secondary strong-consistency guarantee; exists so
-    #: the consistency checker (:mod:`repro.verify`) can prove it detects
-    #: exactly this failure class.  Never enable outside tests.
-    test_skip_secondary_sync: bool = False
-    #: TEST-ONLY: replicas at chain position >= 2 silently drop incoming
-    #: replica updates, so async-replica reads become unboundedly stale.
-    #: Exists to prove the bounded-staleness checker can fail.
-    test_freeze_tail_replicas: bool = False
 
     def __post_init__(self) -> None:
         if self.num_partitions <= 0:
@@ -234,8 +212,6 @@ class ZHTConfig:
             raise ValueError("gc_dead_ratio must be in [0, 1]")
         if self.transport not in ("tcp", "udp", "local"):
             raise ValueError("transport must be 'tcp', 'udp', or 'local'")
-        if self.wire_codec not in ("fixed", "varint"):
-            raise ValueError("wire_codec must be 'fixed' or 'varint'")
         if self.instances_per_node <= 0:
             raise ValueError("instances_per_node must be positive")
         if self.num_shards <= 0:

@@ -652,13 +652,6 @@ class ZHTServerCore:
                         )
                         continue
                     self.stats.inc("replica_updates")
-                    if (
-                        self.config.test_freeze_tail_replicas
-                        and sub.replica_index >= 2
-                    ):
-                        # TEST-ONLY broken mode (see _handle_replica_update).
-                        sub_responses[i] = self._sub_respond(sub, Status.OK)
-                        continue
                 else:
                     if part.is_migrating:
                         sub_responses[i] = self._sub_respond(
@@ -755,7 +748,7 @@ class ZHTServerCore:
         result.response = self._respond(
             request,
             outer_status,
-            value=encode_batch_responses(sub_responses, self.config.wire_codec),
+            value=encode_batch_responses(sub_responses),
             membership=need_membership,
         )
         return result
@@ -767,7 +760,7 @@ class ZHTServerCore:
             op=OpCode.BATCH,
             request_id=outer.request_id,
             epoch=self.membership.epoch,
-            payload=encode_batch_requests(updates, self.config.wire_codec),
+            payload=encode_batch_requests(updates),
         )
 
     def _check_limits(self, request: Request) -> None:
@@ -831,11 +824,6 @@ class ZHTServerCore:
                 mode == ReplicationMode.SYNC
                 or (mode == ReplicationMode.ASYNC and index == 1)
             )
-            if sync and self.config.test_skip_secondary_sync:
-                # TEST-ONLY broken mode: acknowledge without the sync
-                # replica write, so the secondary silently diverges —
-                # the failure class the consistency checker must flag.
-                continue
             plan.append((inst.address, update, sync))
         return plan
 
@@ -844,15 +832,6 @@ class ZHTServerCore:
             inner = OpCode(request.inner_op)
         except ValueError:
             return HandleResult(self._respond(request, Status.BAD_REQUEST))
-        if (
-            self.config.test_freeze_tail_replicas
-            and request.replica_index >= 2
-        ):
-            # TEST-ONLY broken mode: the tail replica acks but never
-            # applies, so its reads go unboundedly stale — the failure
-            # the bounded-staleness checker must flag.
-            self.stats.inc("replica_updates")
-            return HandleResult(self._respond(request, Status.OK))
         part = self.partition(request.partition)
         inner_request = Request(
             op=inner,

@@ -121,6 +121,16 @@ def _build_socket_cluster(
     return SocketCluster(config, servers, membership, client_factory, rng)
 
 
+def _tcp_client_for(config: ZHTConfig) -> ClientTransport:
+    """The client transport a handle gets under *config*: the
+    multiplexed client over cached connections, or a connect-per-op
+    :class:`TCPClient` for the paper's "TCP without connection caching"
+    mode (``connection_cache_size=0``)."""
+    if config.connection_cache_size > 0:
+        return MultiplexedTCPClient()
+    return TCPClient(cache_size=0)
+
+
 def build_tcp_cluster(
     num_nodes: int,
     config: ZHTConfig | None = None,
@@ -137,23 +147,11 @@ def build_tcp_cluster(
     """
     config = config or ZHTConfig(transport="tcp")
     factory = ThreadedTCPServer if threaded_server else EventDrivenTCPServer
-    if config.tcp_multiplex and config.connection_cache_size > 0:
-        # Default: multiplexed connections (pipelined request path).
-        client_factory = lambda: MultiplexedTCPClient(  # noqa: E731
-            wire_codec=config.wire_codec
-        )
-    else:
-        # Ablations: stop-and-wait client, with or without connection
-        # caching (the paper's two TCP modes).
-        client_factory = lambda: TCPClient(  # noqa: E731
-            cache_size=config.connection_cache_size,
-            wire_codec=config.wire_codec,
-        )
     return _build_socket_cluster(
         num_nodes,
         config,
         factory,
-        client_factory,
+        lambda: _tcp_client_for(config),
         seed,
     )
 
@@ -163,6 +161,7 @@ def build_sharded_tcp_cluster(
     config: ZHTConfig | None = None,
     *,
     seed: int = 0,
+    core_hook: Callable[[ZHTServerCore], None] | None = None,
 ) -> SocketCluster:
     """Start a deployment of multi-core nodes (process-per-shard).
 
@@ -171,7 +170,8 @@ def build_sharded_tcp_cluster(
     advertises every shard's **private** port so clients route zero-hop
     to the owning shard.  From the cluster API's point of view a node is
     one server (``stop_server`` kills all of its shards), matching how
-    the chaos harness kills whole nodes.
+    the chaos harness kills whole nodes.  *core_hook* runs on each
+    worker's core after the fork (respawned workers included).
     """
     from .shard import ShardedNodeServer
 
@@ -180,7 +180,7 @@ def build_sharded_tcp_cluster(
     rng = random.Random(seed)
     # 1. Bind every node's sockets up front to learn shard addresses.
     nodes = [
-        ShardedNodeServer(config, num_shards=shards)
+        ShardedNodeServer(config, num_shards=shards, core_hook=core_hook)
         for _ in range(num_nodes)
     ]
     addresses = {
@@ -208,16 +208,9 @@ def build_sharded_tcp_cluster(
         chunk = instances[node_index * shards : (node_index + 1) * shards]
         node.attach_instances(membership.copy(), chunk)
         node.start()
-    if config.tcp_multiplex and config.connection_cache_size > 0:
-        client_factory = lambda: MultiplexedTCPClient(  # noqa: E731
-            wire_codec=config.wire_codec
-        )
-    else:
-        client_factory = lambda: TCPClient(  # noqa: E731
-            cache_size=config.connection_cache_size,
-            wire_codec=config.wire_codec,
-        )
-    return SocketCluster(config, nodes, membership, client_factory, rng)
+    return SocketCluster(
+        config, nodes, membership, lambda: _tcp_client_for(config), rng
+    )
 
 
 def build_udp_cluster(

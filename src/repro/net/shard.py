@@ -50,7 +50,7 @@ import threading
 import time
 import weakref
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..core.config import ZHTConfig
 from ..core.membership import Address, InstanceInfo, MembershipTable
@@ -121,6 +121,7 @@ def _shard_worker_main(
     instance: InstanceInfo,
     membership: MembershipTable,
     foreign_sockets: list,
+    core_hook: Callable[[ZHTServerCore], None] | None,
 ) -> None:
     """Worker-process entry point (fork start method: everything here is
     inherited memory, nothing is pickled)."""
@@ -136,6 +137,8 @@ def _shard_worker_main(
             pass
 
     core = ZHTServerCore(instance, membership, config)
+    if core_hook is not None:
+        core_hook(core)
     server = EventDrivenTCPServer(
         listeners=listeners, conn_receiver=conn_receiver
     )
@@ -206,12 +209,15 @@ class ShardedNodeServer:
         port: int = 0,
         num_shards: int | None = None,
         reuse_port: bool | None = None,
+        core_hook: Callable[[ZHTServerCore], None] | None = None,
     ) -> None:
         if not fork_supported():
             raise RuntimeError(
                 "ShardedNodeServer needs the 'fork' start method"
             )
         self.config = config or ZHTConfig(transport="tcp")
+        #: Runs on each worker's core right after the worker builds it.
+        self.core_hook = core_hook
         if num_shards is not None:
             self.num_shards = num_shards
         elif self.config.num_shards > 1:
@@ -364,6 +370,7 @@ class ShardedNodeServer:
                 self.instances[slot.index],
                 self.membership.copy(),
                 _foreign_sockets(keep),
+                self.core_hook,
             ),
             name=f"zht-shard-{self.address.port}-{slot.index}",
             daemon=True,
@@ -493,7 +500,7 @@ class ShardedNodeServer:
         """Fetch each live shard's STATS snapshot over its private port."""
         from .tcp import TCPClient
 
-        client = TCPClient(cache_size=0, wire_codec=self.config.wire_codec)
+        client = TCPClient(cache_size=0)
         snapshots: list[dict] = []
         try:
             for index, addr in enumerate(self.shard_addresses):

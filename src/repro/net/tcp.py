@@ -14,11 +14,13 @@ Two server architectures, matching the paper's ablation:
   was too high"): one thread spawned per request.  Kept for the
   server-architecture ablation benchmark.
 
-The client, :class:`TCPClient`, implements the paper's LRU **connection
-cache**: with caching, an established socket per server is reused
-("makes TCP works almost as fast as UDP"); with ``capacity=0`` every
-operation pays a fresh ``connect()`` (the "TCP without connection
-caching" line in Figures 7 and 9).
+Two clients cover the paper's two TCP modes.  With connection caching
+("makes TCP works almost as fast as UDP"), client handles use
+:class:`MultiplexedTCPClient`: one established socket per server carries
+every in-flight request.  :class:`TCPClient` is the stop-and-wait client
+with an LRU connection cache; with ``cache_size=0`` every operation pays
+a fresh ``connect()`` (the "TCP without connection caching" line in
+Figures 7 and 9).  Servers use :class:`TCPClient` for their replica hops.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..core.membership import Address
 from ..core.protocol import (
-    FIXED_MAGIC,
     Request,
     Response,
     decode_request_span,
@@ -77,14 +78,12 @@ class TCPClient(ClientTransport):
         cache_size: int = 128,
         *,
         connect_timeout: float = 2.0,
-        wire_codec: str = "fixed",
     ) -> None:
         self._cache: LRUCache[Address, socket.socket] = LRUCache(
             cache_size, on_evict=self._on_evict
         )
         self._lock = threading.Lock()
         self.connect_timeout = connect_timeout
-        self._codec = wire_codec
         self.connects = 0
         #: One-way messages retried on a fresh connection after a cached
         #: socket turned out stale.
@@ -141,7 +140,7 @@ class TCPClient(ClientTransport):
         if sock is None:
             return None
         try:
-            sock.sendall(encode_framed_request(request, self._codec))
+            sock.sendall(encode_framed_request(request))
             payload = _recv_frame(sock, timeout)
         except OSError:
             sock.close()
@@ -167,7 +166,7 @@ class TCPClient(ClientTransport):
         # cached socket whose server side has gone away must not silently
         # swallow them, so a send error triggers one retry on a fresh
         # connection before the message is counted as dropped.
-        payload = encode_framed_request(request, self._codec)
+        payload = encode_framed_request(request)
         sock = self._checkout(address)
         if sock is not None:
             try:
@@ -353,17 +352,16 @@ class MultiplexedTCPClient(ClientTransport):
     instead of serializing behind stop-and-wait round trips.  A timed
     -out request abandons its slot (its late response is discarded by
     id), so slow responses neither poison the stream nor force a
-    reconnect.  :class:`TCPClient` remains available for the
-    stop-and-wait ablation (``ZHTConfig.tcp_multiplex=False``).
+    reconnect.  Client handles use it whenever connections are cached
+    (``ZHTConfig.connection_cache_size > 0``); :class:`TCPClient` with
+    ``cache_size=0`` gives the paper's "TCP without connection caching"
+    line, and stays the server's peer client for replica hops.
     """
 
-    def __init__(
-        self, *, connect_timeout: float = 2.0, wire_codec: str = "fixed"
-    ) -> None:
+    def __init__(self, *, connect_timeout: float = 2.0) -> None:
         self._conns: dict[Address, _MuxConnection] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
         self.connect_timeout = connect_timeout
-        self._codec = wire_codec
         self.connects = 0
         self.oneway_retries = 0
         self.oneway_drops = 0
@@ -416,7 +414,7 @@ class MultiplexedTCPClient(ClientTransport):
         if not rid:
             # Unmatchable by id: use an isolated stop-and-wait socket.
             return self._oneshot_roundtrip(address, request, timeout)
-        payload = encode_framed_request(request, self._codec)
+        payload = encode_framed_request(request)
         for _attempt in range(2):  # one retry on a just-died connection
             conn = self._get(address)
             if conn is None:
@@ -448,7 +446,7 @@ class MultiplexedTCPClient(ClientTransport):
         try:
             self.connects += 1
             self._c_connects.inc()
-            sock.sendall(encode_framed_request(request, self._codec))
+            sock.sendall(encode_framed_request(request))
             payload = _recv_frame(sock, timeout)
             if payload is None:
                 return None
@@ -463,7 +461,7 @@ class MultiplexedTCPClient(ClientTransport):
             sock.close()
 
     def send_oneway(self, address: Address, request: Request) -> None:
-        payload = encode_framed_request(request, self._codec)
+        payload = encode_framed_request(request)
         for attempt in range(2):
             conn = self._get(address)
             if conn is not None:
@@ -497,19 +495,16 @@ class _Connection:
 
     Frame reassembly accumulates into a ``bytearray`` and tracks a read
     offset instead of rebuilding the buffer per chunk; consumed bytes are
-    compacted once per readable event.  Replies mirror the codec of the
-    last request decoded on the connection, so a varint-speaking peer
-    gets varint responses without any negotiation.
+    compacted once per readable event.
     """
 
-    __slots__ = ("sock", "buffer", "offset", "write_lock", "codec", "closed")
+    __slots__ = ("sock", "buffer", "offset", "write_lock", "closed")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.buffer = bytearray()
         self.offset = 0
         self.write_lock = threading.Lock()
-        self.codec = "varint"
         self.closed = False
 
     def feed(self, chunk: bytes) -> list[bytes]:
@@ -546,7 +541,7 @@ class _Connection:
             self.offset = 0
 
     def send_response(self, response: Response) -> None:
-        data = encode_framed_response(response, self.codec)
+        data = encode_framed_response(response)
         with self.write_lock:
             try:
                 # zht-lint: ignore[LOOP001] loop conns are _EventConnection and take _reply's queued-write path; only worker-thread deferred replies land here
@@ -913,7 +908,6 @@ class EventDrivenTCPServer:
         except Exception:
             REGISTRY.counter("tcp.server.decode_errors").inc()
             return
-        conn.codec = "fixed" if buffer[start] == FIXED_MAGIC else "varint"
         self.requests_served += 1
         REGISTRY.counter("tcp.server.requests").inc()
         result = self.core.handle(request, reply_context=conn)
@@ -951,7 +945,7 @@ class EventDrivenTCPServer:
         if not isinstance(conn, _EventConnection):
             conn.send_response(response)
             return
-        data = encode_framed_response(response, conn.codec)
+        data = encode_framed_response(response)
         if conn.queue_reply(data):
             with self._pending_lock:
                 self._pending_writable.append(conn)
@@ -1074,8 +1068,6 @@ class ThreadedTCPServer:
         except Exception:
             REGISTRY.counter("tcp.server.decode_errors").inc()
             return
-        if message:
-            conn.codec = "fixed" if message[0] == FIXED_MAGIC else "varint"
         self.requests_served += 1
         REGISTRY.counter("tcp.server.requests").inc()
         response = self.executor.process(request, reply_context=conn)

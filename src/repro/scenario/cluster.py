@@ -12,7 +12,7 @@ the live backends).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..api import build_local_cluster
 from ..core.config import ZHTConfig
@@ -49,10 +49,19 @@ def default_config(backend: str, replicas: int) -> ZHTConfig:
     )
 
 
-def build_cluster(backend: str, nodes: int, config: ZHTConfig, seed: int) -> Any:
-    """Build a running cluster for any live backend (context manager)."""
-    if backend == "local":
-        return build_local_cluster(nodes, config, seed=seed)
+def build_cluster(
+    backend: str,
+    nodes: int,
+    config: ZHTConfig,
+    seed: int,
+    *,
+    core_hook: Callable[[ZHTServerCore], None] | None = None,
+) -> Any:
+    """Build a running cluster for any live backend (context manager).
+
+    *core_hook* runs on every server core before it serves traffic —
+    in the shard workers for ``sharded``, where it is handed over
+    before the fork (fault injectors use it)."""
     from ..net.cluster import (
         build_sharded_tcp_cluster,
         build_tcp_cluster,
@@ -60,9 +69,18 @@ def build_cluster(backend: str, nodes: int, config: ZHTConfig, seed: int) -> Any
     )
 
     if backend == "sharded":
-        return build_sharded_tcp_cluster(nodes, config, seed=seed)
-    builder = build_udp_cluster if backend == "udp" else build_tcp_cluster
-    return builder(nodes, config, seed=seed)
+        return build_sharded_tcp_cluster(nodes, config, seed=seed, core_hook=core_hook)
+    cluster: Any
+    if backend == "local":
+        cluster = build_local_cluster(nodes, config, seed=seed)
+    elif backend == "udp":
+        cluster = build_udp_cluster(nodes, config, seed=seed)
+    else:
+        cluster = build_tcp_cluster(nodes, config, seed=seed)
+    if core_hook is not None:
+        for core in server_cores(cluster, backend):
+            core_hook(core)
+    return cluster
 
 
 def kill_node(cluster: Any, backend: str, victim: str, plan: FaultPlan) -> None:

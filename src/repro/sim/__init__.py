@@ -32,7 +32,7 @@ from .network import (
     zht_instance_service,
 )
 from .topology import SwitchedTopology, TorusTopology, torus_dims_for
-from .workload import (
+from ..workload import (
     KEY_BYTES,
     VALUE_BYTES,
     AppendWorkload,

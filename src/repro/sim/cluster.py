@@ -44,7 +44,7 @@ from .network import (
     zht_instance_service,
 )
 from .topology import SwitchedTopology, TorusTopology
-from .workload import MicroBenchmarkWorkload
+from ..workload import MicroBenchmarkWorkload
 
 #: Fixed wire overhead estimate per message (headers + framing), bytes.
 _MSG_OVERHEAD = 24

@@ -26,13 +26,14 @@ simulated seconds).
 verification subsystem's self-test, proving the checker detects real
 consistency bugs rather than vacuously passing:
 
-* ``ack-unreplicated`` (:attr:`ZHTConfig.test_skip_secondary_sync`) —
-  the owner acks mutations without writing the strongly-consistent
-  secondary; a primary kill then loses acked data, which the register
-  checker flags as a linearizability violation.
-* ``stale-tail`` (:attr:`ZHTConfig.test_freeze_tail_replicas`) —
-  replicas at chain position ≥2 drop updates, so tail reads lag
-  unboundedly; flagged by the bounded-staleness checker.
+* ``ack-unreplicated`` — the owner acks mutations without writing the
+  strongly-consistent secondary; a primary kill then loses acked data,
+  which the register checker flags as a linearizability violation.
+* ``stale-tail`` — replicas at chain position ≥2 drop updates, so tail
+  reads lag unboundedly; flagged by the bounded-staleness checker.
+
+Both are injected into the run's server cores by
+:mod:`repro.faults.mutation`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from ..core.config import ReplicationMode, ZHTConfig
 from ..core.errors import KeyNotFound, ZHTError
 from ..core.protocol import OpCode
+from ..faults.mutation import MUTATIONS, install_mutation
 from ..faults.plan import FaultPlan
 from ..faults.transport import FaultyClientTransport
 from .checker import CheckReport, check_history
@@ -57,7 +59,6 @@ from .history import (
 from .workload import generate_schedule
 
 BACKENDS = ("local", "tcp", "udp", "sharded", "sim")
-MUTATIONS = ("none", "ack-unreplicated", "stale-tail")
 
 _OPCODES = {
     "insert": OpCode.INSERT,
@@ -158,13 +159,13 @@ def run_verify(
         raise ValueError(f"backend must be one of {BACKENDS}")
     if mutation not in MUTATIONS:
         raise ValueError(f"mutation must be one of {MUTATIONS}")
-    mut_flags = {}
+    overrides = {}
     if shards is not None:
         # Shard count per node — only meaningful for the sharded
         # backend, where it overrides the chaos default.
-        mut_flags["num_shards"] = shards
+        overrides["num_shards"] = shards
     if hot_cache:
-        mut_flags.update(
+        overrides.update(
             hot_key_cache_size=256,
             # TTL well inside the bound: a served value is at most
             # TTL + replication-lag old, and the checker's window is
@@ -177,13 +178,11 @@ def run_verify(
     if mutation == "ack-unreplicated":
         # The bug only surfaces once the secondary serves reads, so the
         # scenario needs a replica chain and the mid-run kill.
-        mut_flags["test_skip_secondary_sync"] = True
         replicas = max(replicas, 1)
         chaos = True
     elif mutation == "stale-tail":
         # Needs an async tail (chain position 2); repair would
         # re-replicate and mask the frozen tail, so chaos stays off.
-        mut_flags["test_freeze_tail_replicas"] = True
         replicas = max(replicas, 2)
         chaos = False
     nodes = max(nodes, 3 if chaos else 1, replicas + 1)
@@ -200,7 +199,7 @@ def run_verify(
             history_path=history_path,
             staleness_bound=staleness_bound,
             plan=plan,
-            mut_flags=mut_flags,
+            overrides=overrides,
             hot_cache=hot_cache,
         )
     return _run_verify_live(
@@ -215,7 +214,7 @@ def run_verify(
         history_path=history_path,
         staleness_bound=staleness_bound,
         plan=plan,
-        mut_flags=mut_flags,
+        overrides=overrides,
         hot_cache=hot_cache,
     )
 
@@ -238,7 +237,7 @@ def _run_verify_live(
     history_path: str | None,
     staleness_bound: float,
     plan: FaultPlan | None,
-    mut_flags: dict,
+    overrides: dict,
     hot_cache: bool = False,
 ) -> VerifyReport:
     from ..scenario.cluster import (
@@ -249,7 +248,7 @@ def _run_verify_live(
     )
 
     plan = plan or FaultPlan(seed)
-    config = _default_config(backend, replicas).replace(**mut_flags)
+    config = _default_config(backend, replicas).replace(**overrides)
     if backend == "udp":
         # Concurrent clients can overflow loopback UDP socket buffers;
         # with the chaos default of 2 strikes a burst of drops falsely
@@ -278,7 +277,13 @@ def _run_verify_live(
     progress = {"done": 0}
     results: list[tuple[int, int, int]] = [(0, 0, 0)] * clients
 
-    with _build_cluster(backend, nodes, config, seed) as cluster:
+    with _build_cluster(
+        backend,
+        nodes,
+        config,
+        seed,
+        core_hook=lambda core: install_mutation(core, mutation),
+    ) as cluster:
         victim = sorted(cluster.membership.nodes)[1] if chaos else ""
         report.victim = victim
 
@@ -452,7 +457,7 @@ def _run_verify_sim(
     history_path: str | None,
     staleness_bound: float,
     plan: FaultPlan | None,
-    mut_flags: dict,
+    overrides: dict,
     hot_cache: bool = False,
     partitions_per_instance: int = 16,
 ) -> VerifyReport:
@@ -473,7 +478,7 @@ def _run_verify_sim(
         failures_before_dead=2,
         backoff_factor=1.5,
         max_retries=10,
-        **mut_flags,
+        **overrides,
     )
     spec = SimSpec(
         num_nodes=nodes,
@@ -486,6 +491,8 @@ def _run_verify_sim(
         config=config,
     )
     cluster = SimulatedCluster(spec)
+    for core in cluster.handlers:
+        install_mutation(core, mutation)
     env = cluster.env
     membership = cluster.membership
     recorder = HistoryRecorder(

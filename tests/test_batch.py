@@ -107,7 +107,7 @@ class TestBatchPlanning:
                     assert sub.request_id > 0
 
     def test_max_bytes_chunks_attempts(self):
-        with build_local_cluster(1, ZHTConfig(transport="local")) as cluster:
+        with build_local_cluster(2, ZHTConfig(transport="local")) as cluster:
             core = cluster.client().core
             entries = [
                 BatchEntry(key=f"key-{i:04d}".encode(), value=b"v" * 100)
@@ -117,11 +117,17 @@ class TestBatchPlanning:
             attempts, _ = core.plan_batches(
                 OpCode.INSERT, entries, max_bytes=limit
             )
-            assert len(attempts) > 1
+            assert len(attempts) > 2
             assert sum(len(a.entries) for a in attempts) == 50
-            for attempt in attempts:
-                outer = attempt.to_request(core)
-                assert len(outer.encode()) <= limit
+            for i, attempt in enumerate(attempts):
+                size = len(attempt.to_request(core).encode())
+                assert size <= limit
+                # Chunking is exact: a chunk closes only when the owner's
+                # next entry would push it over the limit.
+                following = attempts[i + 1 : i + 2]
+                if following and following[0].instance_id == attempt.instance_id:
+                    next_sub = following[0].requests[0]
+                    assert size + len(frame(next_sub.encode())) > limit
 
     def test_dead_chain_is_unroutable(self):
         with build_local_cluster(1, ZHTConfig(transport="local")) as cluster:

@@ -1,13 +1,13 @@
-"""Fixed (struct-packed) wire codec: roundtrips, cross-codec
-compatibility, and torn-frame resilience.
+"""The wire codec: roundtrips, legacy-frame rejection, and torn-frame
+resilience.
 
-The fixed codec replaces the varint header parse on the hot path; it
-must stay byte-compatible with the varint codec at the *message* level
-(same fields in, same fields out) and unambiguously distinguishable on
-the wire (first byte 0xF7 is an invalid protobuf-style tag, so a decoder
-can pick the codec per message).  These tests are the property-style
-contract: every opcode, zero-length and maximal fields, both directions
-across both codecs, and incremental framing torn at every byte offset.
+Every ZHT message on every wire is one struct-packed fixed header (magic
+0xF7) followed by the raw field bytes.  These tests are the
+property-style contract: every opcode and status through both the bare
+message API and the length-prefixed stream framing, zero-length and
+maximal fields, span decode against whole-buffer decode, incremental
+framing torn at every byte offset, and rejection of the legacy varint
+(protobuf-style) encoding older peers spoke.
 """
 
 from __future__ import annotations
@@ -20,18 +20,22 @@ from repro.core.protocol import (
     OpCode,
     Request,
     Response,
-    WIRE_CODECS,
     decode_request_span,
     decode_response_span,
     deframe_span,
-    detect_codec,
     encode_framed_request,
     encode_framed_response,
     frame,
 )
+from repro.novoht.wal import encode_varint
 
 ALL_OPS = list(OpCode)
 ALL_STATUSES = list(Status)
+
+#: How a message is carried: ``fixed`` is the bare message (a UDP
+#: datagram, a BATCH sub-message body); ``framed`` is the same message
+#: behind a stream transport's length prefix, decoded in place.
+PATHS = ("fixed", "framed")
 
 
 def _request(op: OpCode, *, key=b"key-7", value=b"value-11") -> Request:
@@ -61,44 +65,86 @@ def _response(status: Status) -> Response:
     )
 
 
+def _carry_request(path: str, request: Request) -> Request:
+    if path == "fixed":
+        return Request.decode(request.encode())
+    wire = encode_framed_request(request)
+    start, end, offset = deframe_span(wire, 0)
+    assert offset == len(wire)
+    return decode_request_span(wire, start, end)
+
+
+def _carry_response(path: str, response: Response) -> Response:
+    if path == "fixed":
+        return Response.decode(response.encode())
+    wire = encode_framed_response(response)
+    start, end, offset = deframe_span(wire, 0)
+    assert offset == len(wire)
+    return decode_response_span(wire, start, end)
+
+
 # ---------------------------------------------------------------------------
-# Roundtrips: every opcode, both codecs, cross-decoded
+# The legacy varint encoding (protobuf wire format), as older peers sent it
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
+def _legacy_varint(fields: list[tuple[int, int | bytes]]) -> bytes:
+    out = bytearray()
+    for num, value in fields:
+        if isinstance(value, bytes):
+            if value:
+                out += encode_varint(num << 3 | 2) + encode_varint(len(value)) + value
+        elif value:
+            out += encode_varint(num << 3) + encode_varint(value)
+    return bytes(out)
+
+
+def legacy_varint_request(r: Request) -> bytes:
+    """*r* in the retired varint message encoding (field numbers 1-10)."""
+    return _legacy_varint(
+        [
+            (1, int(r.op)), (2, r.key), (3, r.value), (4, r.request_id),
+            (5, r.epoch), (6, r.partition), (7, r.replica_index),
+            (8, r.inner_op), (9, r.payload), (10, r.deadline_us),
+        ]
+    )
+
+
+def legacy_varint_response(r: Response) -> bytes:
+    """*r* in the retired varint message encoding (field numbers 1-7)."""
+    return _legacy_varint(
+        [
+            (1, int(r.status)), (2, r.value), (3, r.request_id), (4, r.epoch),
+            (5, r.redirect), (6, r.membership), (7, r.op),
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Roundtrips: every opcode and status, bare and framed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
-def test_request_roundtrip_every_op(codec, op):
+def test_request_roundtrip_every_op(path, op):
     request = _request(op)
-    wire = request.encode_wire(codec)
-    assert Request.decode(bytes(wire)) == request
+    assert _carry_request(path, request) == request
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("status", ALL_STATUSES, ids=lambda s: s.name)
-def test_response_roundtrip_every_status(codec, status):
+def test_response_roundtrip_every_status(path, status):
     response = _response(status)
-    wire = response.encode_wire(codec)
-    assert Response.decode(bytes(wire)) == response
-
-
-@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
-def test_cross_codec_requests_agree(op):
-    """Both codecs carry the identical message: decode(fixed) ==
-    decode(varint) field for field."""
-    request = _request(op)
-    via_fixed = Request.decode(bytes(request.encode_fixed()))
-    via_varint = Request.decode(request.encode())
-    assert via_fixed == via_varint == request
+    assert _carry_response(path, response) == response
 
 
 def test_zero_length_fields():
     request = Request(op=OpCode.PING)
-    for codec in WIRE_CODECS:
-        assert Request.decode(bytes(request.encode_wire(codec))) == request
     response = Response()
-    for codec in WIRE_CODECS:
-        assert Response.decode(bytes(response.encode_wire(codec))) == response
+    for path in PATHS:
+        assert _carry_request(path, request) == request
+        assert _carry_response(path, response) == response
 
 
 def test_maximal_fields():
@@ -115,48 +161,38 @@ def test_maximal_fields():
         inner_op=int(OpCode.BATCH),
         deadline_us=2**64 - 1,
     )
-    for codec in WIRE_CODECS:
-        assert Request.decode(bytes(request.encode_wire(codec))) == request
+    response = Response(
+        status=Status.OK,
+        value=big,
+        request_id=2**64 - 1,
+        epoch=2**32 - 1,
+        redirect=big,
+        membership=big,
+        op=2**8 - 1,
+    )
+    for path in PATHS:
+        assert _carry_request(path, request) == request
+        assert _carry_response(path, response) == response
 
 
 # ---------------------------------------------------------------------------
-# Codec detection
+# Legacy varint messages are decode errors, never misparsed
 # ---------------------------------------------------------------------------
-
-
-def test_detect_codec():
-    request = _request(OpCode.INSERT)
-    assert detect_codec(request.encode_fixed()) == "fixed"
-    assert detect_codec(request.encode()) == "varint"
 
 
 @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
 def test_varint_bodies_never_collide_with_magic(op):
-    """The disambiguation property the auto-detect relies on: a varint
-    body never starts with 0xF7 (wire type 7 does not exist), so the
-    magic byte is unambiguous."""
-    wire = _request(op).encode()
+    """A varint body never starts with 0xF7 (wire type 7 does not
+    exist), so a legacy peer's message fails the magic check cleanly
+    instead of being read as a fixed header."""
+    wire = legacy_varint_request(_request(op))
     assert wire[:1] != bytes([FIXED_MAGIC])
-    wire = _response(Status.OK).encode()
+    with pytest.raises(ProtocolError):
+        Request.decode(wire)
+    wire = legacy_varint_response(_response(Status.OK))
     assert wire[:1] != bytes([FIXED_MAGIC])
-
-
-def test_mixed_codec_stream_decodes():
-    """A framing buffer interleaving both codecs decodes message by
-    message — what a server sees from a mixed-version client pool."""
-    requests = [_request(op) for op in (OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE)]
-    buffer = bytearray()
-    buffer += encode_framed_request(requests[0], "fixed")
-    buffer += encode_framed_request(requests[1], "varint")
-    buffer += encode_framed_request(requests[2], "fixed")
-    offset = 0
-    out = []
-    while True:
-        start, end, offset = deframe_span(buffer, offset)
-        if start < 0:
-            break
-        out.append(decode_request_span(buffer, start, end))
-    assert out == requests
+    with pytest.raises(ProtocolError):
+        Response.decode(wire)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +200,7 @@ def test_mixed_codec_stream_decodes():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
-def test_torn_request_frames_at_every_byte_offset(codec):
+def test_torn_request_frames_at_every_byte_offset():
     requests = [
         _request(OpCode.INSERT),
         Request(op=OpCode.PING),
@@ -173,7 +208,7 @@ def test_torn_request_frames_at_every_byte_offset(codec):
     ]
     stream = bytearray()
     for request in requests:
-        stream += encode_framed_request(request, codec)
+        stream += encode_framed_request(request)
     for tear in range(len(stream) + 1):
         buffer = bytearray(stream[:tear])
         decoded = []
@@ -195,8 +230,7 @@ def test_torn_request_frames_at_every_byte_offset(codec):
         assert decoded == requests
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
-def test_torn_response_frames_at_every_byte_offset(codec):
+def test_torn_response_frames_at_every_byte_offset():
     responses = [
         _response(Status.OK),
         Response(),
@@ -204,7 +238,7 @@ def test_torn_response_frames_at_every_byte_offset(codec):
     ]
     stream = bytearray()
     for response in responses:
-        stream += encode_framed_response(response, codec)
+        stream += encode_framed_response(response)
     for tear in range(len(stream) + 1):
         buffer = bytearray(stream[:tear])
         offset = 0
@@ -219,33 +253,44 @@ def test_torn_response_frames_at_every_byte_offset(codec):
 
 def test_span_decode_matches_whole_buffer_decode():
     request = _request(OpCode.APPEND)
-    framed = encode_framed_request(request, "fixed")
+    framed = encode_framed_request(request)
     # Surround with garbage to prove span decoding reads only its slice.
     buffer = bytearray(b"\xff" * 3) + framed + bytearray(b"\xee" * 5)
     start, end, _ = deframe_span(buffer, 3)
     assert decode_request_span(buffer, start, end) == request
+    assert decode_request_span(buffer, start, end) == Request.decode(
+        bytes(buffer[start:end])
+    )
+    response = _response(Status.MIGRATING)
+    buffer = bytearray(b"\xff" * 2) + encode_framed_response(response)
+    start, end, _ = deframe_span(buffer, 2)
+    assert decode_response_span(buffer, start, end) == Response.decode(
+        bytes(buffer[start:end])
+    )
 
 
 def test_corrupt_fixed_header_raises():
     request = _request(OpCode.INSERT)
-    wire = bytearray(request.encode_fixed())
+    wire = bytearray(request.encode())
     wire[2] = 255  # invalid opcode
     with pytest.raises(ProtocolError):
         Request.decode(bytes(wire))
-    truncated = bytes(request.encode_fixed())[:10]
+    truncated = bytes(request.encode())[:10]
     with pytest.raises(ProtocolError):
         Request.decode(truncated)
+    with pytest.raises(ProtocolError):
+        Request.decode(b"")
+    # A response is not a request (and vice versa).
+    with pytest.raises(ProtocolError):
+        Request.decode(Response().encode())
+    with pytest.raises(ProtocolError):
+        Response.decode(Request(op=OpCode.PING).encode())
 
 
 def test_frame_compat_with_legacy_frame():
-    """encode_framed_* must produce exactly frame(encode_wire(...)) —
-    the one-buffer fast path is an optimization, not a format change."""
+    """encode_framed_* must produce exactly frame(encode()) — the
+    one-buffer fast path is an optimization, not a format change."""
     request = _request(OpCode.INSERT)
     response = _response(Status.OK)
-    for codec in WIRE_CODECS:
-        assert bytes(encode_framed_request(request, codec)) == frame(
-            bytes(request.encode_wire(codec))
-        )
-        assert bytes(encode_framed_response(response, codec)) == frame(
-            bytes(response.encode_wire(codec))
-        )
+    assert bytes(encode_framed_request(request)) == frame(request.encode())
+    assert bytes(encode_framed_response(response)) == frame(response.encode())

@@ -1,14 +1,24 @@
 """Tests for the real TCP transport (repro.net.tcp, repro.net.cluster)."""
 
+import socket
 import time
 
 import pytest
 
 from repro.core import KeyNotFound, ZHTConfig
 from repro.core.membership import Address
-from repro.core.protocol import OpCode, Request
+from repro.core.protocol import (
+    OpCode,
+    Request,
+    Response,
+    deframe_at,
+    encode_framed_request,
+    frame,
+)
 from repro.net.cluster import build_tcp_cluster
 from repro.net.tcp import TCPClient
+from repro.obs import REGISTRY
+from tests.test_codec_fixed import legacy_varint_request
 
 
 @pytest.fixture(scope="module")
@@ -209,11 +219,27 @@ class TestClientRobustness:
             z.insert("k", b"v")
             # Kill the cached connection out from under the client; the
             # next operation must reconnect transparently.
-            conns = getattr(z.transport, "_conns", None)
-            if conns is not None:  # multiplexed client
-                for conn in list(conns.values()):
-                    conn.sock.close()
-            else:  # classic checkout/checkin client
-                for sock_addr in list(z.transport._cache):
-                    z.transport._cache.pop(sock_addr).close()
+            for conn in list(z.transport._conns.values()):
+                conn.sock.close()
             assert z.lookup("k") == b"v"
+
+    def test_legacy_varint_request_is_a_decode_error(self, tcp_cluster):
+        """A peer still sending the retired varint encoding gets no reply
+        and a counted decode error; the next message on the same
+        connection is still answered."""
+        address = tcp_cluster.servers[0].address
+        errors = REGISTRY.counter("tcp.server.decode_errors")
+        before = errors.value
+        legacy = legacy_varint_request(Request(op=OpCode.PING, request_id=5))
+        with socket.create_connection((address.host, address.port), timeout=2) as sock:
+            sock.sendall(frame(legacy))
+            sock.sendall(encode_framed_request(Request(op=OpCode.PING, request_id=6)))
+            buffer = bytearray()
+            message, _ = deframe_at(buffer, 0)
+            while message is None:
+                chunk = sock.recv(65536)
+                assert chunk, "server closed the connection"
+                buffer += chunk
+                message, _ = deframe_at(buffer, 0)
+        assert Response.decode(message).request_id == 6
+        assert errors.value == before + 1

@@ -1,5 +1,6 @@
 """Tests for the UDP transport (repro.net.udp)."""
 
+import socket
 import time
 
 import pytest
@@ -9,6 +10,9 @@ from repro.core.membership import Address
 from repro.core.protocol import OpCode, Request
 from repro.net.cluster import build_udp_cluster
 from repro.net.udp import UDPClient
+from repro.obs import REGISTRY
+from tests._wait import wait_until
+from tests.test_codec_fixed import legacy_varint_request
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +98,21 @@ class TestRobustness:
         request = Request(op=OpCode.INSERT, key=b"big", value=b"x" * 100_000)
         server_addr = udp_cluster.servers[0].address
         assert client.roundtrip(server_addr, request, timeout=0.2) is None
+        client.close()
+
+    def test_legacy_varint_request_is_a_decode_error(self, udp_cluster):
+        """A datagram in the retired varint encoding is dropped and
+        counted, and the server keeps answering."""
+        address = udp_cluster.servers[0].address
+        errors = REGISTRY.counter("udp.server.decode_errors")
+        before = errors.value
+        legacy = legacy_varint_request(Request(op=OpCode.PING, request_id=5))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.sendto(legacy, (address.host, address.port))
+        wait_until(lambda: errors.value == before + 1, desc="udp decode error")
+        client = UDPClient()
+        ping = Request(op=OpCode.PING, request_id=6)
+        assert client.roundtrip(address, ping, timeout=0.5) is not None
         client.close()
 
     def test_replication_over_udp(self):
